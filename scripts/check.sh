@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
-# Full correctness gate: release build + complete test suite, then a
-# ThreadSanitizer build running the concurrency-sensitive tests (shared
-# pool, work-stealing task groups, parallel_for, parallel
-# pipeline/coordinator determinism, sharded aggregation, sharded metrics
-# registry, archive compaction, metrics file exporter), then a standalone
-# UBSan build running the counter-arithmetic and arena-path suites, then an
-# AddressSanitizer+UBSan build running the archive corrupt-file suites
-# followed by the full suite.
+# Full correctness gate: release build + complete test suite under parallel
+# ctest five times over, then the concurrency filter in four processes at
+# once (contention), then a ThreadSanitizer build running the
+# concurrency-sensitive tests (shared pool, work-stealing task groups,
+# parallel_for, parallel pipeline/coordinator determinism, sharded
+# aggregation, sharded metrics registry, archive compaction, metrics file
+# exporter), then a standalone UBSan build running the counter-arithmetic
+# and arena-path suites, then an AddressSanitizer+UBSan build running the
+# archive corrupt-file suites followed by the full suite.
 #
 # Usage: scripts/check.sh [--tsan-only | --asan-only | --ubsan-only |
 #                          --release-only]
@@ -24,40 +25,64 @@ case "${1:-}" in
      exit 2 ;;
 esac
 
+# The concurrency surface, run by the release leg's contention step and the
+# TSan leg: shared pool stress, work-stealing task groups (nested spawn/wait
+# from inside worker tasks), parallel primitives, every determinism suite
+# that fans out across the pool (including the per-(site, sample) render
+# split and its per-burst fan-out), the sharded metrics registry (concurrent
+# add/observe/registration), and the archive's concurrent code — the rollup
+# compactor (parallel_map group folds) and the background metrics file
+# exporter.
+# PhiloxSimd/RngBulk ride along: the tier dispatch word is a relaxed atomic
+# that tests flip while pool workers draw.
+# ScrapeServer (serving thread + concurrent HTTP readers folding the sharded
+# registry), Trace (per-thread flight-recorder lanes + the work-steal
+# observer hook), and TraceDeterminism (rings written from pool workers,
+# drained after quiescence) are the newest concurrency surface.
+# FederationTest (parallel_map archive loads must be byte-deterministic at
+# any worker count), IncrementalCompactionTest (parallel group folds feeding
+# append-only commits), WindowedQueryTest (the mutex-guarded query cache),
+# and the compaction legs ride the same pool.
+# FlowChurnDeterminism is the event-planner analogue of
+# CoordinatorDeterminism: the priority-queue plan feeds the same per-burst
+# render fan-out, so its worker/batch/SIMD sweeps exercise the pool too;
+# FlowSched rides along for the planner's obs-counter pushes.
+concurrency_filter='SharedPool.*:ThreadPool.*:TaskGroup.*:Parallel.*:PipelineDeterminism.*:AggregateShards.*:CoordinatorDeterminism.*:FlowChurnDeterminism.*:FlowSched.*:SiteProfiler.RenderOrderDoesNotChangeCommittedBytes:ObsRegistry.*:ObsDeterminism.*:ArchiveDeterminism.*:ArchiveIoTest.Compaction*:FederationTest.*:IncrementalCompactionTest.*:WindowedQueryTest.*:ObsFileExporter.*:PhiloxSimd.*:RngBulk.*:ScrapeServer.*:Trace.*:TraceDeterminism.*'
+
 if [[ "$mode" == "all" || "$mode" == "release" ]]; then
-  echo "== release: configure + build + full ctest =="
+  echo "== release: configure + build + full ctest (x5) + contention =="
   cmake --preset release
   cmake --build --preset release -j "$(nproc)"
-  ctest --preset release -j "$(nproc)"
+  # Races that only show under real-core contention (a first-registration
+  # collision, two cases sharing one fixture file) pass a single clean run
+  # far more often than not, so the suite runs five times under parallel
+  # ctest, then four processes each run the concurrency filter 50 times
+  # while competing for the same cores.
+  for run in 1 2 3 4 5; do
+    echo "-- full ctest, run $run of 5"
+    ctest --preset release -j "$(nproc)"
+  done
+  pids=()
+  for proc in 1 2 3 4; do
+    ./build/tests/patchwork_tests --gtest_filter="$concurrency_filter" \
+      --gtest_repeat=50 --gtest_brief=1 > "build/contention_$proc.log" 2>&1 &
+    pids+=("$!")
+  done
+  failed=0
+  for proc in 1 2 3 4; do
+    if ! wait "${pids[$((proc - 1))]}"; then
+      echo "contention process $proc failed; see build/contention_$proc.log" >&2
+      failed=1
+    fi
+  done
+  [[ "$failed" == 0 ]]
 fi
 
 if [[ "$mode" == "all" || "$mode" == "tsan" ]]; then
   echo "== tsan: configure + build + concurrency tests =="
   cmake --preset tsan
   cmake --build --preset tsan -j "$(nproc)" --target patchwork_tests
-  # The concurrency surface: shared pool stress, work-stealing task groups
-  # (nested spawn/wait from inside worker tasks), parallel primitives,
-  # every determinism suite that fans out across the pool (including the
-  # per-(site, sample) render split and its per-burst sub-spawns), the
-  # sharded metrics registry (concurrent add/observe/registration), and the
-  # archive's concurrent code — the rollup compactor (parallel_map group
-  # folds) and the background metrics file exporter.
-  # PhiloxSimd/RngBulk ride along: the tier dispatch word is a relaxed
-  # atomic that tests flip while pool workers draw.
-  # ScrapeServer (serving thread + concurrent HTTP readers folding the
-  # sharded registry), Trace (per-thread flight-recorder lanes + the
-  # work-steal observer hook), and TraceDeterminism (rings written from
-  # pool workers, drained after quiescence) are the newest concurrency
-  # surface.
-  # FederationTest (parallel_map archive loads must be byte-deterministic
-  # at any worker count), IncrementalCompactionTest (parallel group folds
-  # feeding append-only commits), WindowedQueryTest (the mutex-guarded
-  # query cache), and the compaction legs ride the same pool.
-  # FlowChurnDeterminism is the event-planner analogue of
-  # CoordinatorDeterminism: the priority-queue plan feeds the same
-  # per-burst render fan-out, so its worker/batch/SIMD sweeps exercise the
-  # pool too; FlowSched rides along for the planner's obs-counter pushes.
-  ./build-tsan/tests/patchwork_tests --gtest_filter='SharedPool.*:ThreadPool.*:TaskGroup.*:Parallel.*:PipelineDeterminism.*:AggregateShards.*:CoordinatorDeterminism.*:FlowChurnDeterminism.*:FlowSched.*:SiteProfiler.RenderSampleCommitEquivalentToRenderPending:ObsRegistry.*:ObsDeterminism.*:ArchiveDeterminism.*:ArchiveIoTest.Compaction*:FederationTest.*:IncrementalCompactionTest.*:WindowedQueryTest.*:ObsFileExporter.*:PhiloxSimd.*:RngBulk.*:ScrapeServer.*:Trace.*:TraceDeterminism.*'
+  ./build-tsan/tests/patchwork_tests --gtest_filter="$concurrency_filter"
 fi
 
 if [[ "$mode" == "all" || "$mode" == "ubsan" ]]; then

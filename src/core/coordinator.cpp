@@ -192,22 +192,11 @@ ProfileRun Coordinator::run_sites(
         slot.transferred_bytes = slot.capture.pcap.size();
       }
     };
-    // One work-stealing task per (site, sample); the synthesis inside a
-    // sample sub-spawns per-burst tasks into the same pool, so a skewed
+    // One flat fan-out over every (site, sample); the synthesis inside a
+    // sample fans out again over its bursts on the same pool, so a skewed
     // hot-site workload still saturates every worker instead of serializing
     // behind the heaviest sample.
-    const std::size_t threads = util::thread_count();
-    if (tasks.size() <= 1 || threads <= 1) {
-      for (std::size_t t = 0; t < tasks.size(); ++t) render_one(t);
-    } else {
-      util::ThreadPool& pool = util::shared_pool();
-      pool.ensure_size(threads - 1);  // The waiting caller helps too.
-      util::TaskGroup group(pool);
-      for (std::size_t t = 0; t < tasks.size(); ++t) {
-        group.spawn([&render_one, t] { render_one(t); });
-      }
-      group.wait();
-    }
+    util::parallel_for(tasks.size(), render_one);
 
     // Hand each site its captures back in sample order; the per-sample
     // byte accounting sums in the same order the per-site loop used to.

@@ -58,27 +58,20 @@ class SiteProfiler {
   /// cycling, mirror (re)configuration, congestion detection and
   /// mitigation, the watchdog — and snapshots every sampling decision as a
   /// PendingSample. The data plane (traffic synthesis, capture, pcap
-  /// serialization) is rendered later by render_pending(), so the
-  /// coordinator can fan sites out across worker threads while the shared
-  /// simulation state is only ever touched serially.
+  /// serialization) is rendered later, one sample at a time, by
+  /// render_sample() and handed back through commit_rendered(), so the
+  /// coordinator can fan samples out across worker threads while the
+  /// shared simulation state is only ever touched serially.
   RunOutcome run();
 
-  /// Render the data plane for every sample run() decided to take: frame
-  /// synthesis from the snapshotted port rates, mirror-delivery thinning,
-  /// and the configured capture path. Sample k renders from `rng.split(k)`
-  /// (see render_sample), so a caller that pins the stream (the coordinator
-  /// splits one child stream per site off the run seed) gets byte-identical
-  /// pcaps regardless of which thread renders which sample. Touches no
-  /// shared simulation state — safe to run concurrently across
-  /// SiteProfilers. Equivalent to render_sample over every k followed by
-  /// commit_rendered.
-  void render_pending(util::Rng& rng);
-
   /// Render ONE pending sample (index k into the run() snapshot order) from
-  /// its own RNG substream. Const and free of shared mutable state — the
-  /// coordinator schedules every (site, sample) pair as an independent pool
-  /// task, so wall-clock scales with total samples rather than with the
-  /// slowest site. The per-sample log line lands in the returned capture's
+  /// its own RNG substream: frame synthesis from the snapshotted port
+  /// rates, mirror-delivery thinning, and the configured capture path. The
+  /// bytes depend only on `rng`, never on which thread renders which sample
+  /// (the coordinator passes `Rng(run_seed).split(site, k)`). Const and free
+  /// of shared mutable state — the coordinator schedules every
+  /// (site, sample) pair as an independent pool task, so wall-clock scales
+  /// with total samples rather than with the slowest site. The per-sample log line lands in the returned capture's
   /// log bundle; commit_rendered replays it into the instance log.
   analysis::RawCapture render_sample(std::size_t k, util::Rng& rng) const;
 
@@ -91,9 +84,9 @@ class SiteProfiler {
   /// Samples recorded by run() and not yet rendered.
   std::size_t pending_sample_count() const { return pending_.size(); }
 
-  /// Gathering phase (Section 6.2.3): hand the pcaps + logs over. The
-  /// profiler keeps nothing. Standalone callers may skip render_pending();
-  /// gather() then renders with a stream forked from the environment RNG.
+  /// Gathering phase (Section 6.2.3): hand the committed pcaps + logs
+  /// over. The profiler keeps nothing. Every pending sample must have been
+  /// rendered and committed first.
   std::vector<analysis::RawCapture> gather();
 
   /// Yield resources back to the testbed (Fig. 7, step 5).
@@ -137,7 +130,7 @@ class SiteProfiler {
                    std::uint32_t sample);
 
   /// One control-plane sampling decision, snapshotted by take_sample() and
-  /// rendered later by render_pending(). Holds everything the data plane
+  /// rendered later by render_sample(). Holds everything the data plane
   /// needs so rendering reads no mutable simulation state.
   struct PendingSample {
     testbed::PortId source;

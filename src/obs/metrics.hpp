@@ -189,8 +189,11 @@ class Registry {
  private:
   struct Family;
   struct Series;
-  Series& series(std::string_view name, std::string_view help, char type,
-                 Labels labels, Determinism det);
+  /// Find or create a series. Caller must hold mutex_, and keep holding
+  /// it while it fills the series in: two threads registering the same
+  /// series at once must not each construct its metric.
+  Series& series_locked(std::string_view name, std::string_view help,
+                        char type, Labels labels, Determinism det);
 
   mutable std::mutex mutex_;
   bool emit_build_info_ = false;

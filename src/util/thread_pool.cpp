@@ -8,20 +8,10 @@ namespace patchwork::util {
 
 namespace {
 
-// Set while a thread is executing inside ThreadPool::worker_loop(); lets
-// parallel_for() detect nesting and degrade to serial instead of
-// deadlocking on a pool that is busy running the caller itself.
-thread_local bool t_on_worker = false;
-
-// Identity of the pool worker running on this thread (work-stealing path):
-// which pool, and which per-worker deque belongs to it.
+// Identity of the pool worker running on this thread: which pool, and
+// which per-worker deque belongs to it.
 thread_local const void* t_worker_pool = nullptr;
 thread_local std::size_t t_worker_index = 0;
-
-// Incremented while a thread executes the body of its own parallel_for
-// region (caller threads participate in their region's strand loop, so
-// nesting can occur off pool workers too).
-thread_local std::size_t t_region_depth = 0;
 
 std::optional<std::size_t>& thread_count_override() {
   static std::optional<std::size_t> value;
@@ -94,28 +84,9 @@ void ThreadPool::ensure_size(std::size_t threads) {
   }
 }
 
-std::future<void> ThreadPool::submit(std::function<void()> task) {
-  std::packaged_task<void()> wrapped(std::move(task));
-  std::future<void> future = wrapped.get_future();
-  tasks_submitted_.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!workers_.empty()) {
-      queue_.push_back(
-          QueuedTask{std::move(wrapped), std::chrono::steady_clock::now()});
-      note_queue_depth_locked();
-      cv_.notify_one();
-      return future;
-    }
-  }
-  run_task(wrapped);  // Serial mode: run inline; the future carries throws.
-  return future;
-}
-
 void ThreadPool::note_queue_depth_locked() {
   // Sample the high-water mark after the increment: any task that had to
-  // queue behind a worker leaves a mark >= 1. Counts both the legacy FIFO
-  // and the group deques.
+  // queue behind a worker leaves a mark >= 1. Counts every worker deque.
   const std::uint64_t depth =
       queue_depth_.fetch_add(1, std::memory_order_relaxed) + 1;
   std::uint64_t seen = queue_depth_high_water_.load(std::memory_order_relaxed);
@@ -136,7 +107,8 @@ void ThreadPool::spawn(TaskGroup& group, std::function<void()> task) {
       } else {
         target = next_deque_++ % deques_.size();
       }
-      deques_[target].push_back(GroupTask{&group, std::move(task)});
+      deques_[target].push_back(GroupTask{&group, std::move(task),
+                                          std::chrono::steady_clock::now()});
       ++group_tasks_queued_;
       note_queue_depth_locked();
       cv_.notify_one();
@@ -144,9 +116,23 @@ void ThreadPool::spawn(TaskGroup& group, std::function<void()> task) {
       return;
     }
   }
-  // No workers (serial mode): run inline, same contract as submit().
-  GroupTask inline_task{&group, std::move(task)};
+  // No workers (serial mode): run inline; errors still surface in wait().
+  GroupTask inline_task{&group, std::move(task), {}};
   run_group_task(inline_task);
+}
+
+ThreadPool::GroupTask ThreadPool::pop_locked(std::deque<GroupTask>& deque,
+                                             std::size_t index) {
+  GroupTask out = std::move(deque[index]);
+  deque.erase(deque.begin() + static_cast<std::ptrdiff_t>(index));
+  --group_tasks_queued_;
+  queue_depth_.fetch_sub(1, std::memory_order_relaxed);
+  const auto wait_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                           std::chrono::steady_clock::now() - out.enqueued)
+                           .count();
+  task_wait_ns_total_.fetch_add(static_cast<std::uint64_t>(wait_ns),
+                                std::memory_order_relaxed);
+  return out;
 }
 
 bool ThreadPool::take_group_task_locked(std::size_t self,
@@ -154,25 +140,12 @@ bool ThreadPool::take_group_task_locked(std::size_t self,
                                         GroupTask& out, bool& stole) {
   if (self != kNoWorker && self < deques_.size()) {
     std::deque<GroupTask>& own = deques_[self];
-    if (only == nullptr) {
-      if (!own.empty()) {
-        out = std::move(own.back());
-        own.pop_back();
-        --group_tasks_queued_;
-        queue_depth_.fetch_sub(1, std::memory_order_relaxed);
+    // Newest first: LIFO keeps the cache warm, and a waiting worker finds
+    // the descendants of its waited group at the back of its own deque.
+    for (std::size_t i = own.size(); i-- > 0;) {
+      if (only == nullptr || own[i].group == only) {
+        out = pop_locked(own, i);
         return true;
-      }
-    } else {
-      // Waiting worker: newest matching task first (descendants of the
-      // waited group sit at the back of the owner's deque).
-      for (std::size_t i = own.size(); i-- > 0;) {
-        if (own[i].group == only) {
-          out = std::move(own[i]);
-          own.erase(own.begin() + static_cast<std::ptrdiff_t>(i));
-          --group_tasks_queued_;
-          queue_depth_.fetch_sub(1, std::memory_order_relaxed);
-          return true;
-        }
       }
     }
   }
@@ -182,10 +155,7 @@ bool ThreadPool::take_group_task_locked(std::size_t self,
     std::deque<GroupTask>& victim = deques_[d];
     for (std::size_t i = 0; i < victim.size(); ++i) {
       if (only != nullptr && victim[i].group != only) continue;
-      out = std::move(victim[i]);
-      victim.erase(victim.begin() + static_cast<std::ptrdiff_t>(i));
-      --group_tasks_queued_;
-      queue_depth_.fetch_sub(1, std::memory_order_relaxed);
+      out = pop_locked(victim, i);
       tasks_stolen_.fetch_add(1, std::memory_order_relaxed);
       stole = true;
       return true;
@@ -226,8 +196,6 @@ void ThreadPool::wait(TaskGroup& group) {
   if (error) std::rethrow_exception(error);
 }
 
-bool ThreadPool::on_worker_thread() { return t_on_worker; }
-
 PoolStats ThreadPool::stats() const {
   PoolStats s;
   s.tasks_submitted = tasks_submitted_.load(std::memory_order_relaxed);
@@ -249,17 +217,6 @@ void ThreadPool::reset_stats() {
   task_wait_ns_total_.store(0, std::memory_order_relaxed);
   task_run_ns_total_.store(0, std::memory_order_relaxed);
   tasks_stolen_.store(0, std::memory_order_relaxed);
-}
-
-void ThreadPool::run_task(std::packaged_task<void()>& task) {
-  const auto start = std::chrono::steady_clock::now();
-  task();  // packaged_task stores any exception in its future.
-  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-  task_run_ns_total_.fetch_add(static_cast<std::uint64_t>(ns),
-                               std::memory_order_relaxed);
-  tasks_executed_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ThreadPool::run_group_task(GroupTask& task) {
@@ -288,44 +245,21 @@ void ThreadPool::run_group_task(GroupTask& task) {
 }
 
 void ThreadPool::worker_loop(std::size_t index) {
-  t_on_worker = true;
   t_worker_pool = this;
   t_worker_index = index;
   for (;;) {
-    std::packaged_task<void()> task;
-    GroupTask group_task;
-    bool have_group_task = false;
+    GroupTask task;
     bool stole = false;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [this] {
-        return stopping_ || !queue_.empty() || group_tasks_queued_ > 0;
-      });
-      if (!queue_.empty()) {
-        QueuedTask queued = std::move(queue_.front());
-        queue_.pop_front();
-        queue_depth_.fetch_sub(1, std::memory_order_relaxed);
-        const auto wait_ns =
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - queued.enqueued)
-                .count();
-        task_wait_ns_total_.fetch_add(static_cast<std::uint64_t>(wait_ns),
-                                      std::memory_order_relaxed);
-        task = std::move(queued.task);
-      } else if (take_group_task_locked(index, nullptr, group_task, stole)) {
-        have_group_task = true;
-      } else if (stopping_) {
-        return;  // Both queues drained.
-      } else {
-        continue;  // Raced with another worker; re-wait.
+      cv_.wait(lock, [this] { return stopping_ || group_tasks_queued_ > 0; });
+      if (!take_group_task_locked(index, nullptr, task, stole)) {
+        if (stopping_) return;  // Every deque drained.
+        continue;               // Raced with another worker; re-wait.
       }
     }
-    if (have_group_task) {
-      if (stole) notify_steal_observer();
-      run_group_task(group_task);
-    } else {
-      run_task(task);
-    }
+    if (stole) notify_steal_observer();
+    run_group_task(task);
   }
 }
 
@@ -337,13 +271,6 @@ ThreadPool& shared_pool() {
   static ThreadPool pool(0);
   return pool;
 }
-
-std::size_t parallel_region_depth() { return t_region_depth; }
-
-namespace detail {
-ParallelRegionScope::ParallelRegionScope() { ++t_region_depth; }
-ParallelRegionScope::~ParallelRegionScope() { --t_region_depth; }
-}  // namespace detail
 
 std::size_t thread_count() {
   if (thread_count_override().has_value()) return *thread_count_override();

@@ -8,13 +8,15 @@
 //      output slots indexed by task, so byte-identical output falls out of
 //      the structure regardless of worker interleaving.
 //   2. Serial fallback. A pool of size 0 runs every task inline on the
-//      submitting thread — the same code path tests pin to compare parallel
+//      spawning thread — the same code path tests pin to compare parallel
 //      output against, and the mode `PATCHWORK_THREADS=0` selects.
 //   3. Exceptions propagate. A task that throws surfaces its exception to
-//      the caller through the returned future, never to std::terminate.
+//      the caller of TaskGroup::wait() (first error wins), never to
+//      std::terminate.
 //
-// Lifecycle: the parallel primitives (util/parallel.hpp) no longer build a
-// pool per call. They route through shared_pool(), a lazily-initialized
+// One scheduling path: every task is a TaskGroup task on the per-worker
+// work-stealing deques. parallel_for (util/parallel.hpp) spawns its
+// strands into a TaskGroup on shared_pool(), a lazily-initialized
 // process-lifetime pool that grows on demand (workers are spawned once and
 // reused; the pool never shrinks). Per-call pools remain constructible for
 // tests and special cases.
@@ -26,8 +28,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -40,11 +42,12 @@ namespace patchwork::util {
 /// queue_depth_high_water is guaranteed >= 1 whenever any task was queued
 /// behind a worker — it is sampled at enqueue time, after the increment.
 struct PoolStats {
-  std::uint64_t tasks_submitted = 0;  ///< submit()+spawn() calls (inline too).
+  std::uint64_t tasks_submitted = 0;  ///< spawn() calls (inline too).
   std::uint64_t tasks_executed = 0;
   std::uint64_t queue_depth = 0;      ///< Currently enqueued, not yet started.
   std::uint64_t queue_depth_high_water = 0;
-  std::uint64_t task_wait_ns_total = 0;  ///< Enqueue -> dequeue, summed.
+  std::uint64_t task_wait_ns_total = 0;  ///< Spawn -> dequeue, summed over
+                                         ///< queued (not inline) tasks.
   std::uint64_t task_run_ns_total = 0;   ///< Task body execution, summed.
   std::uint64_t tasks_stolen = 0;  ///< Group tasks taken off another
                                    ///< worker's deque (or by a waiter).
@@ -92,10 +95,10 @@ class TaskGroup {
 
 class ThreadPool {
  public:
-  /// Spawns `threads` workers. 0 workers means submit() runs tasks inline.
+  /// Spawns `threads` workers. 0 workers means spawn() runs tasks inline.
   explicit ThreadPool(std::size_t threads);
 
-  /// Joins all workers; outstanding queued tasks are completed first.
+  /// Joins all workers; outstanding queued group tasks are completed first.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -105,16 +108,8 @@ class ThreadPool {
 
   /// Grow the pool to at least `threads` workers. Existing workers keep
   /// running (and keep their thread IDs); only the shortfall is spawned.
-  /// Never shrinks. Safe to call concurrently with submit().
+  /// Never shrinks. Safe to call concurrently with spawn().
   void ensure_size(std::size_t threads);
-
-  /// Enqueue one task. The future completes when the task returns and
-  /// carries any exception the task threw. When the pool has no workers
-  /// the task runs inline on the calling thread.
-  std::future<void> submit(std::function<void()> task);
-
-  /// True when called from inside one of this pool's workers.
-  static bool on_worker_thread();
 
   /// Work-stealing spawn used by TaskGroup::spawn(). A worker pushes onto
   /// its own deque (LIFO pop keeps the cache warm and bounds helper
@@ -137,20 +132,16 @@ class ThreadPool {
   void reset_stats();
 
  private:
-  struct QueuedTask {
-    std::packaged_task<void()> task;
-    std::chrono::steady_clock::time_point enqueued;
-  };
   struct GroupTask {
     TaskGroup* group = nullptr;
     std::function<void()> fn;
+    std::chrono::steady_clock::time_point enqueued;
   };
 
-  void run_task(std::packaged_task<void()>& task);
   void run_group_task(GroupTask& task);
-  /// Pop from the caller's own deque (back, any group) or steal from
-  /// another deque (front; restricted to `only` when non-null). Caller
-  /// must hold mutex_. `self` is the worker index or kNoWorker. Sets
+  /// Pop from the caller's own deque (back) or steal from another deque
+  /// (front); either is restricted to `only` when non-null. Caller must
+  /// hold mutex_. `self` is the worker index or kNoWorker. Sets
   /// `stole` when the task came off another worker's deque; the caller
   /// reports it to the steal observer only after dropping mutex_ (the
   /// observer may take unrelated locks — calling it under the pool mutex
@@ -158,6 +149,9 @@ class ThreadPool {
   /// sample pool stats while holding their own locks).
   bool take_group_task_locked(std::size_t self, const TaskGroup* only,
                               GroupTask& out, bool& stole);
+  /// Remove the task at `index` (under mutex_): queue-depth bookkeeping,
+  /// and its spawn-to-dequeue time added to the wait total.
+  GroupTask pop_locked(std::deque<GroupTask>& deque, std::size_t index);
   void note_queue_depth_locked();
   void worker_loop(std::size_t index);
 
@@ -166,7 +160,6 @@ class ThreadPool {
   mutable std::mutex mutex_;
   std::condition_variable cv_;        ///< Workers: any task available/stop.
   std::condition_variable group_cv_;  ///< Waiters: group progress/spawn.
-  std::deque<QueuedTask> queue_;
   /// Per-worker group-task deques (parallel to workers_); guarded by
   /// mutex_ — group tasks are burst-sized, so the lock is cold next to
   /// the task bodies.
@@ -200,20 +193,6 @@ void set_task_steal_observer(TaskStealObserver observer);
 /// persist until process exit, so a hot loop calling parallel_for at high
 /// frequency pays no per-call thread churn.
 ThreadPool& shared_pool();
-
-/// Depth of parallel_for() regions the calling thread is currently inside
-/// (on either a pool worker or a caller thread participating in its own
-/// region). Nested parallel_for calls see depth > 0 and degrade to serial
-/// instead of re-entering the shared pool.
-std::size_t parallel_region_depth();
-
-namespace detail {
-/// RAII marker for one parallel_for region on the current thread.
-struct ParallelRegionScope {
-  ParallelRegionScope();
-  ~ParallelRegionScope();
-};
-}  // namespace detail
 
 /// Worker-thread count the parallel primitives use:
 /// explicit set_thread_count() override, else the `PATCHWORK_THREADS`

@@ -13,6 +13,7 @@
 #include "archive/record.hpp"
 #include "archive/sketch.hpp"
 #include "obs/metrics.hpp"
+#include "testing/temp_path.hpp"
 #include "util/byte_io.hpp"
 #include "util/file_io.hpp"
 
@@ -22,7 +23,7 @@ namespace {
 class ArchiveCorruptTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/patchwork_corrupt_test.pwar";
+    path_ = patchwork::testing::unique_temp_path("corrupt.pwar");
     std::remove(path_.c_str());
   }
   void TearDown() override { std::remove(path_.c_str()); }

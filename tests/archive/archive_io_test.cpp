@@ -12,6 +12,7 @@
 #include "archive/reader.hpp"
 #include "archive/writer.hpp"
 #include "obs/metrics.hpp"
+#include "testing/temp_path.hpp"
 #include "util/crc32.hpp"
 #include "util/file_io.hpp"
 
@@ -21,7 +22,7 @@ namespace {
 class ArchiveIoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/patchwork_archive_io_test.pwar";
+    path_ = patchwork::testing::unique_temp_path("archive_io.pwar");
     std::remove(path_.c_str());
   }
   void TearDown() override { std::remove(path_.c_str()); }

@@ -12,6 +12,7 @@
 #include "archive/query.hpp"
 #include "archive/reader.hpp"
 #include "archive/writer.hpp"
+#include "testing/temp_path.hpp"
 #include "util/file_io.hpp"
 #include "util/thread_pool.hpp"
 
@@ -21,19 +22,20 @@ namespace {
 class FederationTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir();
     for (const char* name : {"fed_a.pwar", "fed_b.pwar", "fed_out.pwar"}) {
-      std::remove((dir_ + "/" + name).c_str());
+      std::remove(path(name).c_str());
     }
   }
   void TearDown() override {
     for (const char* name : {"fed_a.pwar", "fed_b.pwar", "fed_out.pwar"}) {
-      std::remove((dir_ + "/" + name).c_str());
+      std::remove(path(name).c_str());
     }
     util::set_thread_count(std::nullopt);
   }
 
-  std::string path(const char* name) const { return dir_ + "/" + name; }
+  std::string path(const char* name) const {
+    return patchwork::testing::unique_temp_path(name);
+  }
 
   // Both deployments label their weeks the same way and both start epoch
   // indices at 0 — exactly the collision federation must survive.
@@ -72,8 +74,6 @@ class FederationTest : public ::testing::Test {
   std::vector<FederationInput> inputs() const {
     return {{path("fed_a.pwar"), "alpha"}, {path("fed_b.pwar"), "beta"}};
   }
-
-  std::string dir_;
 };
 
 TEST_F(FederationTest, MergeThenQueryEqualsUnionQuery) {

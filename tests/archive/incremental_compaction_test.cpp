@@ -10,6 +10,7 @@
 #include "archive/query.hpp"
 #include "archive/reader.hpp"
 #include "archive/writer.hpp"
+#include "testing/temp_path.hpp"
 #include "util/file_io.hpp"
 
 namespace patchwork::archive {
@@ -18,7 +19,7 @@ namespace {
 class IncrementalCompactionTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/patchwork_incremental_test.pwar";
+    path_ = patchwork::testing::unique_temp_path("incremental.pwar");
     std::remove(path_.c_str());
   }
   void TearDown() override { std::remove(path_.c_str()); }

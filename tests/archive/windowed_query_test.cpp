@@ -12,6 +12,7 @@
 #include "archive/reader.hpp"
 #include "archive/writer.hpp"
 #include "obs/metrics.hpp"
+#include "testing/temp_path.hpp"
 #include "util/file_io.hpp"
 
 namespace patchwork::archive {
@@ -20,7 +21,7 @@ namespace {
 class WindowedQueryTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/patchwork_windowed_test.pwar";
+    path_ = patchwork::testing::unique_temp_path("windowed.pwar");
     std::remove(path_.c_str());
   }
   void TearDown() override { std::remove(path_.c_str()); }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <vector>
 
 #include "testing/env_fixture.hpp"
@@ -22,6 +24,25 @@ ProfilerConfig quick_config() {
   config.capture.method = capture::CaptureMethod::kFpgaDpdk;
   config.capture.cores = 5;
   return config;
+}
+
+/// Render every pending sample of `profiler` in the order `order` lists
+/// them, sample k from `Rng(seed).split(k)`, then commit in sample order.
+void render_and_commit(SiteProfiler& profiler, std::uint64_t seed,
+                       const std::vector<std::size_t>& order) {
+  const util::Rng base(seed);
+  std::vector<analysis::RawCapture> rendered(order.size());
+  for (std::size_t k : order) {
+    util::Rng sample_rng = base.split(k);
+    rendered[k] = profiler.render_sample(k, sample_rng);
+  }
+  profiler.commit_rendered(std::move(rendered));
+}
+
+std::vector<std::size_t> ascending(std::size_t n) {
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  return order;
 }
 
 TEST(SiteProfiler, SetupGrantsInstancesAndMirrorSlots) {
@@ -82,6 +103,8 @@ TEST(SiteProfiler, RunProducesCapturesWithLogs) {
   ASSERT_TRUE(profiler.setup().ok);
   const RunOutcome outcome = profiler.run();
   EXPECT_EQ(outcome, RunOutcome::kSuccess);
+  render_and_commit(profiler, 99, ascending(profiler.pending_sample_count()));
+  EXPECT_EQ(profiler.pending_sample_count(), 0u);
   auto captures = profiler.gather();
   ASSERT_FALSE(captures.empty());
   for (const auto& c : captures) {
@@ -144,53 +167,46 @@ TEST(SiteProfiler, SamplesRecordOfferedAndCaptured) {
   EXPECT_GT(profiler.log().count_containing("sample c"), 0u);
 }
 
-TEST(SiteProfiler, RenderSampleCommitEquivalentToRenderPending) {
-  // The per-sample split's contract at the profiler level: rendering each
-  // pending sample individually through render_sample (as the coordinator's
-  // per-(site, sample) tasks do) and committing in order must produce the
-  // same captures AND the same instance log as the all-at-once
-  // render_pending path.
+TEST(SiteProfiler, RenderOrderDoesNotChangeCommittedBytes) {
+  // render_sample is addressed by sample index, so rendering the pending
+  // samples in reverse (as a worker pool may) and committing them must give
+  // the same captures AND the same instance log as ascending order.
   ProfilerConfig config = quick_config();
   config.plan.samples_per_run = 3;  // Several pending samples per slot.
 
-  World whole_world(11);
-  whole_world.warm_up_telemetry();
-  SiteProfiler whole(whole_world.env, testbed::SiteId{2}, config);
-  ASSERT_TRUE(whole.setup().ok);
-  whole.run();
+  World forward_world(11);
+  forward_world.warm_up_telemetry();
+  SiteProfiler forward(forward_world.env, testbed::SiteId{2}, config);
+  ASSERT_TRUE(forward.setup().ok);
+  forward.run();
 
-  World split_world(11);
-  split_world.warm_up_telemetry();
-  SiteProfiler split(split_world.env, testbed::SiteId{2}, config);
-  ASSERT_TRUE(split.setup().ok);
-  split.run();
+  World reverse_world(11);
+  reverse_world.warm_up_telemetry();
+  SiteProfiler reverse(reverse_world.env, testbed::SiteId{2}, config);
+  ASSERT_TRUE(reverse.setup().ok);
+  reverse.run();
 
-  ASSERT_GT(whole.pending_sample_count(), 1u);
-  ASSERT_EQ(whole.pending_sample_count(), split.pending_sample_count());
-
-  util::Rng whole_rng(12345);
-  whole.render_pending(whole_rng);
-
-  const util::Rng base(12345);
-  std::vector<analysis::RawCapture> rendered;
-  for (std::size_t k = 0; k < split.pending_sample_count(); ++k) {
-    util::Rng sample_rng = base.split(k);
-    rendered.push_back(split.render_sample(k, sample_rng));
-  }
-  split.commit_rendered(std::move(rendered));
+  const std::size_t n = forward.pending_sample_count();
+  ASSERT_GT(n, 1u);
+  ASSERT_EQ(n, reverse.pending_sample_count());
+  std::vector<std::size_t> descending = ascending(n);
+  std::reverse(descending.begin(), descending.end());
+  render_and_commit(forward, 12345, ascending(n));
+  render_and_commit(reverse, 12345, descending);
 
   // Instance logs match record-for-record (commit replays the per-sample
   // summaries in sample order).
-  const auto& la = whole.log().records();
-  const auto& lb = split.log().records();
+  const auto& la = forward.log().records();
+  const auto& lb = reverse.log().records();
   ASSERT_EQ(la.size(), lb.size());
   for (std::size_t i = 0; i < la.size(); ++i) {
     EXPECT_EQ(la[i].time, lb[i].time) << "log " << i;
     EXPECT_EQ(la[i].message, lb[i].message) << "log " << i;
   }
 
-  const std::vector<analysis::RawCapture> ca = whole.gather();
-  const std::vector<analysis::RawCapture> cb = split.gather();
+  const std::vector<analysis::RawCapture> ca = forward.gather();
+  const std::vector<analysis::RawCapture> cb = reverse.gather();
+  ASSERT_EQ(ca.size(), n);
   ASSERT_EQ(ca.size(), cb.size());
   for (std::size_t i = 0; i < ca.size(); ++i) {
     EXPECT_EQ(ca[i].port, cb[i].port) << "capture " << i;

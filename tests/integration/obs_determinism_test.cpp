@@ -17,6 +17,7 @@
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "testing/env_fixture.hpp"
+#include "testing/temp_path.hpp"
 #include "util/parallel.hpp"
 
 namespace patchwork::core {
@@ -195,7 +196,7 @@ TEST(ObsDeterminism, ManifestWritesNextToProfileOutput) {
   const RunArtifacts artifacts = run_congested_world();
 
   const std::string path =
-      ::testing::TempDir() + "/patchwork_run_manifest.json";
+      patchwork::testing::unique_temp_path("patchwork_run_manifest.json");
   ASSERT_TRUE(obs::write_manifest(path, manifest_info()));
   std::ifstream in(path, std::ios::binary);
   ASSERT_TRUE(in.good());

@@ -13,6 +13,7 @@
 #include <thread>
 
 #include "obs/metrics.hpp"
+#include "testing/temp_path.hpp"
 
 namespace patchwork::obs {
 namespace {
@@ -34,7 +35,8 @@ bool wait_for_content(const std::string& path, const std::string& needle) {
 }
 
 TEST(ObsFileExporter, TailsTwoSnapshotsAcrossACounterBump) {
-  const std::string path = ::testing::TempDir() + "/exporter_tail.prom";
+  const std::string path =
+      patchwork::testing::unique_temp_path("exporter_tail.prom");
   std::remove(path.c_str());
   Counter& tick = registry().counter("patchwork_exporter_test_total",
                                      "file exporter test counter");
@@ -60,7 +62,8 @@ TEST(ObsFileExporter, TailsTwoSnapshotsAcrossACounterBump) {
 }
 
 TEST(ObsFileExporter, StopFlushesTheFinalRegistryState) {
-  const std::string path = ::testing::TempDir() + "/exporter_flush.prom";
+  const std::string path =
+      patchwork::testing::unique_temp_path("exporter_flush.prom");
   std::remove(path.c_str());
   Counter& tick = registry().counter("patchwork_exporter_flush_total",
                                      "shutdown flush test counter");
@@ -86,7 +89,8 @@ TEST(ObsFileExporter, StopFlushesTheFinalRegistryState) {
 }
 
 TEST(ObsFileExporter, SnapshotIsACompleteExposition) {
-  const std::string path = ::testing::TempDir() + "/exporter_complete.prom";
+  const std::string path =
+      patchwork::testing::unique_temp_path("exporter_complete.prom");
   std::remove(path.c_str());
   registry().counter("patchwork_exporter_complete_total", "helper").add(3);
   {

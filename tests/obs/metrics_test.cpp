@@ -7,6 +7,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <latch>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -124,26 +126,42 @@ TEST(ObsRegistry, ResetZeroesPushMetricsAndRebaselinesPullCounters) {
 }
 
 TEST(ObsRegistry, ConcurrentRegistrationAndExposeIsSafe) {
+  // The threads leave a start latch together and walk the same fresh
+  // series in step, so the first registration of each series collides
+  // across threads. Every thread must get the one metric the registry
+  // keeps: a second construction would swallow the first thread's updates.
+  constexpr int kThreads = 4;
+  constexpr int kSeries = 200;
   Registry reg;
+  std::latch start(kThreads + 1);
   std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&reg, t] {
-      for (int i = 0; i < 200; ++i) {
-        reg.counter("patchwork_shared_total", "t",
-                    {{"worker", std::to_string(t % 2)}})
-            .add();
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&reg, &start] {
+      start.arrive_and_wait();
+      for (int i = 0; i < kSeries; ++i) {
+        const Labels labels = {{"series", std::to_string(i)}};
+        reg.counter("patchwork_shared_total", "t", labels).add();
+        reg.histogram("patchwork_shared_ns", "t", labels).observe(1);
+        reg.gauge("patchwork_shared_max", "t", labels).observe_max(1.0);
       }
     });
   }
-  threads.emplace_back([&reg] {
+  threads.emplace_back([&reg, &start] {
+    start.arrive_and_wait();
     for (int i = 0; i < 50; ++i) (void)reg.expose_text();
   });
   for (std::thread& t : threads) t.join();
-  EXPECT_EQ(reg.counter("patchwork_shared_total", "t", {{"worker", "0"}})
-                    .value() +
-                reg.counter("patchwork_shared_total", "t", {{"worker", "1"}})
-                    .value(),
-            800u);
+  for (int i = 0; i < kSeries; ++i) {
+    const Labels labels = {{"series", std::to_string(i)}};
+    EXPECT_EQ(reg.counter("patchwork_shared_total", "t", labels).value(),
+              static_cast<std::uint64_t>(kThreads))
+        << "series " << i;
+    EXPECT_EQ(reg.histogram("patchwork_shared_ns", "t", labels).count(),
+              static_cast<std::uint64_t>(kThreads))
+        << "series " << i;
+    EXPECT_EQ(reg.gauge("patchwork_shared_max", "t", labels).value(), 1.0)
+        << "series " << i;
+  }
 }
 
 TEST(ObsRegistry, ProcessRegistryHasPoolAndLoggerBuiltins) {

@@ -38,10 +38,11 @@ TEST(SharedPool, GrowsOnDemandAndNeverShrinks) {
 }
 
 TEST(SharedPool, WorkerThreadsAreStableAcrossParallelForCalls) {
-  // Run many parallel regions and record which OS threads executed loop
-  // bodies on pool workers. If parallel_for spun up a fresh pool per call,
-  // every round would mint new thread ids and the union would keep
+  // Run many parallel regions and record which OS threads other than the
+  // caller executed loop bodies. If parallel_for spun up a fresh pool per
+  // call, every round would mint new thread ids and the union would keep
   // growing; with the shared pool it is bounded by the pool size.
+  const std::thread::id caller = std::this_thread::get_id();
   std::mutex mu;
   std::set<std::thread::id> worker_ids;
   constexpr int kRounds = 50;
@@ -49,7 +50,7 @@ TEST(SharedPool, WorkerThreadsAreStableAcrossParallelForCalls) {
     parallel_for(
         64,
         [&](std::size_t) {
-          if (ThreadPool::on_worker_thread()) {
+          if (std::this_thread::get_id() != caller) {
             std::lock_guard<std::mutex> lock(mu);
             worker_ids.insert(std::this_thread::get_id());
           }
@@ -86,19 +87,34 @@ TEST(SharedPool, ConcurrentParallelForFromManyThreads) {
   }
 }
 
-TEST(SharedPool, NestedCallsFromClientThreadsDegradeToSerial) {
-  // Depth guard: a parallel_for issued from inside a parallel region runs
-  // serially on the issuing thread instead of re-entering the pool.
-  std::atomic<int> total{0};
-  parallel_for(
-      4,
-      [&](std::size_t) {
-        EXPECT_GT(parallel_region_depth(), 0u);
-        parallel_for(16, [&](std::size_t) { ++total; }, 4);
-      },
-      2);
-  EXPECT_EQ(total.load(), 64);
-  EXPECT_EQ(parallel_region_depth(), 0u);
+TEST(SharedPool, NestedCallsFromClientThreadsRunEachIndexOnce) {
+  // Several client threads each open a region whose bodies open nested
+  // regions on the same shared pool: every nested index of every client
+  // runs exactly once, and no combination of waits deadlocks.
+  constexpr int kClients = 3;
+  constexpr std::size_t kOuter = 4;
+  constexpr std::size_t kInner = 16;
+  std::vector<std::vector<std::atomic<int>>> hits(kClients);
+  for (auto& h : hits) h = std::vector<std::atomic<int>>(kOuter * kInner);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      parallel_for(
+          kOuter,
+          [&](std::size_t i) {
+            parallel_for(
+                kInner, [&](std::size_t j) { ++hits[c][i * kInner + j]; },
+                4);
+          },
+          2);
+    });
+  }
+  for (auto& t : clients) t.join();
+  for (int c = 0; c < kClients; ++c) {
+    for (std::size_t k = 0; k < kOuter * kInner; ++k) {
+      ASSERT_EQ(hits[c][k].load(), 1) << "client " << c << " index " << k;
+    }
+  }
 }
 
 TEST(SharedPool, ReusableAfterIdlePeriod) {
@@ -113,19 +129,16 @@ TEST(SharedPool, ReusableAfterIdlePeriod) {
   EXPECT_EQ(second.load(), 128);
 }
 
-TEST(SharedPool, SubmitAndFuturesFromMultipleThreads) {
+TEST(SharedPool, TaskGroupsFromMultipleThreads) {
   ThreadPool& pool = shared_pool();
   pool.ensure_size(2);
   std::atomic<int> ran{0};
   std::vector<std::thread> clients;
   for (int c = 0; c < 3; ++c) {
     clients.emplace_back([&] {
-      std::vector<std::future<void>> futures;
-      futures.reserve(50);
-      for (int i = 0; i < 50; ++i) {
-        futures.push_back(pool.submit([&ran] { ++ran; }));
-      }
-      for (auto& f : futures) f.get();
+      TaskGroup group(pool);
+      for (int i = 0; i < 50; ++i) group.spawn([&ran] { ++ran; });
+      group.wait();
     });
   }
   for (auto& t : clients) t.join();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
@@ -18,46 +19,51 @@ TEST(ThreadPool, RunsEverySubmittedTask) {
   ThreadPool pool(4);
   EXPECT_EQ(pool.size(), 4u);
   std::atomic<int> ran{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.submit([&ran] { ++ran; }));
-  }
-  for (auto& f : futures) f.get();
+  TaskGroup group(pool);
+  for (int i = 0; i < 100; ++i) group.spawn([&ran] { ++ran; });
+  group.wait();
   EXPECT_EQ(ran.load(), 100);
+  EXPECT_EQ(pool.stats().tasks_submitted, 100u);
+  EXPECT_EQ(pool.stats().tasks_executed, 100u);
 }
 
 TEST(ThreadPool, ZeroThreadsRunsInline) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.size(), 0u);
+  TaskGroup group(pool);
   bool ran = false;
-  auto future = pool.submit([&ran] { ran = true; });
-  // In serial mode the task has already run by the time submit() returns.
+  group.spawn([&ran] { ran = true; });
+  // In serial mode the task has already run by the time spawn() returns.
   EXPECT_TRUE(ran);
-  future.get();
+  group.wait();
 }
 
-TEST(ThreadPool, PropagatesExceptionsThroughFuture) {
+TEST(ThreadPool, PropagatesExceptionsAndKeepsServing) {
   ThreadPool pool(2);
-  auto future =
-      pool.submit([] { throw std::runtime_error("task failed"); });
-  EXPECT_THROW(future.get(), std::runtime_error);
+  TaskGroup group(pool);
+  group.spawn([] { throw std::runtime_error("task failed"); });
+  EXPECT_THROW(group.wait(), std::runtime_error);
   // The pool survives a throwing task and keeps serving.
-  auto ok = pool.submit([] {});
-  EXPECT_NO_THROW(ok.get());
+  bool ran = false;
+  group.spawn([&ran] { ran = true; });
+  EXPECT_NO_THROW(group.wait());
+  EXPECT_TRUE(ran);
 }
 
 TEST(ThreadPool, ZeroThreadsStillCarriesExceptions) {
   ThreadPool pool(0);
-  auto future = pool.submit([] { throw std::runtime_error("inline fail"); });
-  EXPECT_THROW(future.get(), std::runtime_error);
+  TaskGroup group(pool);
+  // The inline run stores the error instead of throwing out of spawn().
+  EXPECT_NO_THROW(group.spawn([] { throw std::runtime_error("inline"); }));
+  EXPECT_THROW(group.wait(), std::runtime_error);
 }
 
 TEST(ThreadPool, DestructorDrainsQueue) {
   std::atomic<int> ran{0};
-  {
-    ThreadPool pool(1);
-    for (int i = 0; i < 32; ++i) pool.submit([&ran] { ++ran; });
-  }
+  auto pool = std::make_unique<ThreadPool>(1);
+  TaskGroup group(*pool);
+  for (int i = 0; i < 32; ++i) group.spawn([&ran] { ++ran; });
+  pool.reset();  // Joins the worker only after it has run every task.
   EXPECT_EQ(ran.load(), 32);
 }
 
@@ -96,15 +102,36 @@ TEST(Parallel, MapPreservesInputOrder) {
   }
 }
 
-TEST(Parallel, NestedParallelForDegradesToSerial) {
-  std::atomic<int> total{0};
+TEST(Parallel, NestedParallelForRunsEachIndexOnce) {
+  // Nested regions fan out on the same pool; every (outer, inner) pair
+  // must still run exactly once.
+  std::vector<std::atomic<int>> hits(8 * 8);
   parallel_for(
       8,
-      [&](std::size_t) {
-        parallel_for(8, [&](std::size_t) { ++total; }, 8);
+      [&](std::size_t i) {
+        parallel_for(8, [&](std::size_t j) { ++hits[i * 8 + j]; }, 8);
       },
       4);
-  EXPECT_EQ(total.load(), 64);
+  for (std::size_t k = 0; k < hits.size(); ++k) {
+    EXPECT_EQ(hits[k].load(), 1) << "index " << k;
+  }
+}
+
+TEST(Parallel, ForRethrowsFromNestedRegion) {
+  EXPECT_THROW(parallel_for(
+                   4,
+                   [](std::size_t i) {
+                     parallel_for(
+                         16,
+                         [i](std::size_t j) {
+                           if (i == 2 && j == 9) {
+                             throw std::runtime_error("inner");
+                           }
+                         },
+                         4);
+                   },
+                   4),
+               std::runtime_error);
 }
 
 TEST(TaskGroup, RunsEveryTaskOnce) {
@@ -225,6 +252,32 @@ TEST(TaskGroup, ManyGroupsInterleaved) {
   }
   for (auto& group : groups) group->wait();
   EXPECT_EQ(total.load(), 8 * 32);
+}
+
+TEST(TaskGroup, WaitTimeCountsTasksQueuedBehindBusyWorkers) {
+  // One worker, held busy by the first task while four more queue behind
+  // it for at least kQueued before anyone (the helping waiter) can take
+  // them: their queueing time must show up in the wait total.
+  constexpr auto kQueued = std::chrono::milliseconds(5);
+  ThreadPool pool(1);
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
+  TaskGroup group(pool);
+  group.spawn([&started, &release] {
+    started.store(true);
+    while (!release.load()) std::this_thread::yield();
+  });
+  while (!started.load()) std::this_thread::yield();
+  for (int i = 0; i < 4; ++i) group.spawn([] {});
+  std::this_thread::sleep_for(kQueued);
+  release.store(true);
+  group.wait();
+  const PoolStats stats = pool.stats();
+  EXPECT_EQ(stats.tasks_executed, 5u);
+  EXPECT_GE(stats.task_wait_ns_total,
+            4u * static_cast<std::uint64_t>(
+                     std::chrono::nanoseconds(kQueued).count()));
+  EXPECT_GE(stats.queue_depth_high_water, 4u);
 }
 
 TEST(Parallel, ThreadCountOverrideWins) {

@@ -1,10 +1,12 @@
-// Serial vs. parallel offline pipeline (Fig. 9: Digest -> Index -> Analyze
-// -> Process) over a synthetic multi-site profile.
+// Serial vs. parallel offline pipeline over a synthetic multi-site profile:
+// run_pipeline's Digest (one task per capture), Analyze (one ProfileTally
+// walk per contiguous file chunk, merged in chunk order, flow maps merged
+// through 16 fixed shards) and Process (one task per CSV) steps.
 //
-// Measures digest+analyze throughput with PATCHWORK_THREADS=0 (the serial
-// fallback) against the pooled path at several worker counts, verifies the
-// outputs are byte-identical, and prints a JSON summary suitable for
-// recording as BENCH_parallel_pipeline.json.
+// Measures full run_pipeline throughput with PATCHWORK_THREADS=0 (serial)
+// against the pooled path at several worker counts, verifies the outputs
+// are byte-identical, and prints a JSON summary suitable for recording as
+// BENCH_parallel_pipeline.json.
 //
 // Build & run:  ./build/bench/bench_parallel_pipeline
 #include <chrono>

@@ -47,7 +47,7 @@ esac
 # CoordinatorDeterminism: the priority-queue plan feeds the same per-burst
 # render fan-out, so its worker/batch/SIMD sweeps exercise the pool too;
 # FlowSched rides along for the planner's obs-counter pushes.
-concurrency_filter='SharedPool.*:ThreadPool.*:TaskGroup.*:Parallel.*:PipelineDeterminism.*:AggregateShards.*:CoordinatorDeterminism.*:FlowChurnDeterminism.*:FlowSched.*:SiteProfiler.RenderOrderDoesNotChangeCommittedBytes:ObsRegistry.*:ObsDeterminism.*:ArchiveDeterminism.*:ArchiveIoTest.Compaction*:FederationTest.*:IncrementalCompactionTest.*:WindowedQueryTest.*:ObsFileExporter.*:PhiloxSimd.*:RngBulk.*:ScrapeServer.*:Trace.*:TraceDeterminism.*'
+concurrency_filter='SharedPool.*:ThreadPool.*:TaskGroup.*:Parallel.*:PipelineDeterminism.*:AggregateShards.*:ProfileTally.*:CoordinatorDeterminism.*:FlowChurnDeterminism.*:FlowSched.*:SiteProfiler.RenderOrderDoesNotChangeCommittedBytes:ObsRegistry.*:ObsDeterminism.*:ArchiveDeterminism.*:ArchiveIoTest.Compaction*:FederationTest.*:IncrementalCompactionTest.*:WindowedQueryTest.*:ObsFileExporter.*:PhiloxSimd.*:RngBulk.*:ScrapeServer.*:Trace.*:TraceDeterminism.*'
 
 if [[ "$mode" == "all" || "$mode" == "release" ]]; then
   echo "== release: configure + build + full ctest (x5) + contention =="

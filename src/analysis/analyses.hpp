@@ -7,6 +7,7 @@
 #pragma once
 
 #include <array>
+#include <bitset>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -14,11 +15,10 @@
 #include <vector>
 
 #include "analysis/acap.hpp"
+#include "analysis/digest.hpp"
 #include "util/histogram.hpp"
 
 namespace patchwork::analysis {
-
-class ProfileIndex;  // analysis/index.hpp
 
 // --- Frame sizes (Fig. 15 and the Section 8.2 aggregate) -----------------
 
@@ -36,12 +36,6 @@ struct FrameSizeResult {
 
 FrameSizeResult analyze_frame_sizes(const std::vector<AcapFile>& files);
 FrameSizeResult analyze_frame_sizes_site(const std::vector<AcapFile>& files,
-                                         const std::string& site);
-/// Index-assisted variant: touches only the files the index lists for
-/// `site` instead of scanning the whole profile (the Section 6.2.4 point
-/// of the Index step). Result is identical to the scanning variant.
-FrameSizeResult analyze_frame_sizes_site(const std::vector<AcapFile>& files,
-                                         const ProfileIndex& index,
                                          const std::string& site);
 
 // --- Header occurrence (Fig. 12) -----------------------------------------
@@ -68,11 +62,6 @@ struct SiteHeaderVariety {
 
 std::vector<SiteHeaderVariety> analyze_site_header_variety(
     const std::vector<AcapFile>& files);
-/// Index-assisted variant: iterates sites via the index's site directory
-/// rather than re-grouping every file. Identical output (both orders are
-/// sorted by site name).
-std::vector<SiteHeaderVariety> analyze_site_header_variety(
-    const std::vector<AcapFile>& files, const ProfileIndex& index);
 
 // --- Flows (Fig. 13 and the flow-size aggregation) ------------------------
 
@@ -158,5 +147,62 @@ struct TaggingResult {
 };
 
 TaggingResult analyze_tagging(const std::vector<AcapFile>& files);
+
+// --- Every analysis above in one walk over the records ---------------------
+
+/// One site's capture-volume accounting for a run: how many sample
+/// windows it contributed, what hit the wire, and what survived to pcap.
+struct SiteLoad {
+  std::string site;
+  std::uint64_t samples = 0;
+  std::uint64_t frames = 0;
+  std::uint64_t wire_bytes = 0;
+  std::uint64_t pcap_bytes = 0;
+  std::uint64_t switch_drops_suspected = 0;
+};
+
+/// The partial results of every analysis over a run of files, each record
+/// folded once into all of them (the per-analysis functions above fold the
+/// same per-record steps and are its reference). Tallies of adjacent runs
+/// merge, in file order, into the tally of the whole run.
+struct ProfileTally {
+  /// Protocols seen at a site (truncated/malformed excluded) and its
+  /// deepest stack: SiteHeaderVariety's distinct_headers is the count of
+  /// `protocols`.
+  struct Variety {
+    std::bitset<net::kProtocolCount> protocols;
+    std::size_t deepest_stack = 0;
+  };
+
+  FrameSizeResult frame_sizes;
+  HeaderOccurrenceResult header_occurrence;
+  TcpControlResult tcp_control;
+  TaggingResult tagging;
+  /// Frames per abstract header stack.
+  std::map<std::vector<net::Protocol>, std::uint64_t> stack_counts;
+  std::vector<SampleFlowCount> flows_per_sample;  ///< In file order.
+  std::map<std::string, SiteLoad> site_loads;
+  std::map<std::string, FrameSizeResult> site_frame_sizes;
+  std::map<std::string, Variety> site_variety;
+  /// Flows stitched across the tallied samples.
+  std::unordered_map<FlowKey, FlowAggregate, FlowKeyHash> flows;
+
+  ProfileTally() = default;
+  /// Tally `files`, digested from `captures` position for position, in
+  /// contiguous chunks on the analysis pool (`PATCHWORK_THREADS` workers).
+  /// The chunks merge in chunk order; their flow maps merge through the
+  /// same fixed shards as aggregate_flows, so the result is identical at
+  /// any thread count.
+  ProfileTally(const std::vector<AcapFile>& files,
+               const std::vector<RawCapture>& captures);
+
+  /// Fold one sample in; `pcap_bytes` is the size of its raw pcap.
+  void add(const AcapFile& file, std::uint64_t pcap_bytes);
+  /// Fold in `next`, the tally of the files that follow this tally's.
+  void merge(ProfileTally&& next);
+
+  /// The `k` most frequent stacks, selected from the summed counts.
+  std::vector<StackCount> top_stacks(std::size_t k = 10) const;
+};
 
 }  // namespace patchwork::analysis

@@ -1,8 +1,11 @@
 // End-to-end offline analysis pipeline (Fig. 9):
-//   gathered captures -> Digest -> Index -> Analyze -> Process (CSV).
+//   gathered captures -> Digest -> Analyze -> Process (CSV).
 //
 // This is the phase that runs *outside* the testbed, after the coordinator
-// has downloaded the compressed captures and logs.
+// has downloaded the compressed captures and logs. The Analyze step is one
+// walk over the records (ProfileTally) that groups them by site as it
+// goes; the Index step (analysis/index.hpp) serves callers that read only
+// some of the files.
 #pragma once
 
 #include <map>
@@ -12,20 +15,8 @@
 
 #include "analysis/analyses.hpp"
 #include "analysis/digest.hpp"
-#include "analysis/index.hpp"
 
 namespace patchwork::analysis {
-
-/// One site's capture-volume accounting for a run: how many sample
-/// windows it contributed, what hit the wire, and what survived to pcap.
-struct SiteLoad {
-  std::string site;
-  std::uint64_t samples = 0;
-  std::uint64_t frames = 0;
-  std::uint64_t wire_bytes = 0;
-  std::uint64_t pcap_bytes = 0;
-  std::uint64_t switch_drops_suspected = 0;
-};
 
 struct ProfileReport {
   DigestStats digest_stats;
@@ -44,7 +35,7 @@ struct ProfileReport {
   std::unordered_map<FlowKey, FlowAggregate, FlowKeyHash> flow_aggregates;
   /// Per-site accounting, sorted by site name.
   std::vector<SiteLoad> site_loads;
-  /// Per-site frame-size distributions (index-assisted), keyed by site.
+  /// Per-site frame-size distributions, keyed by site.
   std::map<std::string, FrameSizeResult> site_frame_sizes;
   /// CSV outputs of the Process step, keyed by file name.
   std::map<std::string, std::string> csv_files;
@@ -53,7 +44,8 @@ struct ProfileReport {
 /// Run the full pipeline over a gathered profile.
 ProfileReport run_pipeline(const std::vector<RawCapture>& captures);
 
-/// Digest + index only (for callers that drive analyses selectively).
+/// Digest only, for callers that index the files or run analyses
+/// selectively.
 struct DigestedProfile {
   std::vector<AcapFile> files;
   DigestStats stats;

@@ -1,9 +1,7 @@
 #include "analysis/report.hpp"
 
 #include <algorithm>
-#include <set>
 
-#include "analysis/index.hpp"
 #include "util/csv.hpp"
 
 namespace patchwork::analysis {
@@ -20,35 +18,11 @@ void write_frame_size_csv(std::ostream& out, const FrameSizeResult& result) {
   }
 }
 
-void write_site_frame_size_csv(std::ostream& out,
-                               const std::vector<AcapFile>& files) {
-  std::set<std::string> sites;
-  for (const AcapFile& f : files) sites.insert(f.site);
+void write_site_frame_size_csv(
+    std::ostream& out, const std::map<std::string, FrameSizeResult>& sites) {
   util::CsvWriter csv(out, {"site", "bucket_lo", "bucket_hi", "fraction",
                             "jumbo_fraction"});
-  for (const std::string& site : sites) {
-    const FrameSizeResult r = analyze_frame_sizes_site(files, site);
-    for (std::size_t i = 0; i < r.histogram.bucket_count(); ++i) {
-      csv.begin_row()
-          .add(site)
-          .add(r.histogram.bucket_lo(i))
-          .add(r.histogram.bucket_hi(i))
-          .add(r.histogram.fraction(i))
-          .add(r.jumbo_fraction())
-          .end_row();
-    }
-  }
-}
-
-void write_site_frame_size_csv(std::ostream& out,
-                               const std::vector<AcapFile>& files,
-                               const ProfileIndex& index) {
-  util::CsvWriter csv(out, {"site", "bucket_lo", "bucket_hi", "fraction",
-                            "jumbo_fraction"});
-  // index.sites() is name-sorted, matching the std::set order of the
-  // scanning variant; each per-site pass reads only that site's files.
-  for (const std::string& site : index.sites()) {
-    const FrameSizeResult r = analyze_frame_sizes_site(files, index, site);
+  for (const auto& [site, r] : sites) {
     for (std::size_t i = 0; i < r.histogram.bucket_count(); ++i) {
       csv.begin_row()
           .add(site)

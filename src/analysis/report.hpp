@@ -11,13 +11,9 @@
 namespace patchwork::analysis {
 
 void write_frame_size_csv(std::ostream& out, const FrameSizeResult& result);
-void write_site_frame_size_csv(std::ostream& out,
-                               const std::vector<AcapFile>& files);
-/// Index-assisted variant: the per-site frame-size passes read only each
-/// site's indexed files. Byte-identical to the scanning variant.
-void write_site_frame_size_csv(std::ostream& out,
-                               const std::vector<AcapFile>& files,
-                               const ProfileIndex& index);
+/// One block of rows per site, in site-name order.
+void write_site_frame_size_csv(
+    std::ostream& out, const std::map<std::string, FrameSizeResult>& sites);
 void write_header_occurrence_csv(std::ostream& out,
                                  const HeaderOccurrenceResult& result);
 void write_site_variety_csv(std::ostream& out,

@@ -22,6 +22,8 @@ class Histogram {
   explicit Histogram(std::vector<double> edges);
 
   void add(double value, std::uint64_t count = 1);
+  /// Add every sample of `other`, which must have the same edges.
+  void merge(const Histogram& other);
 
   std::size_t bucket_count() const { return counts_.size(); }
   std::uint64_t bucket(std::size_t i) const { return counts_.at(i); }

@@ -1,9 +1,9 @@
 // Sharded two-phase flow aggregation contract: aggregate_flows() must
-// produce exactly the same map — every key, every field — whether it runs
-// as the serial single-map fallback or as the sharded parallel path, at
-// any thread count. Shard assignment is keyed by FlowKeyHash % kShards and
-// every FlowAggregate field merges commutatively, so the content cannot
-// depend on chunking or scheduling.
+// produce exactly the same map — every key, every field — whether the
+// files form one chunk (serial) or many (parallel), at any thread count.
+// Shard assignment is keyed by FlowKeyHash % kShards and every
+// FlowAggregate field merges commutatively, so the content cannot depend
+// on chunking or scheduling.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -76,7 +76,7 @@ TEST(AggregateShards, ShardedMatchesSingleMapAtEveryThreadCount) {
   const std::vector<AcapFile> files = stitched_profile();
   ASSERT_GT(files.size(), 1u);
 
-  util::set_thread_count(0);  // Serial single-map reference.
+  util::set_thread_count(0);  // Serial one-chunk reference.
   const auto reference = aggregate_flows(files);
   EXPECT_GT(reference.size(), 1u);
 

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/pipeline.hpp"
@@ -22,12 +24,12 @@ struct ThreadCountGuard {
   ~ThreadCountGuard() { util::set_thread_count(std::nullopt); }
 };
 
-std::vector<RawCapture> multi_site_profile() {
+/// `samples_at(site)` samples for each of `sites` sites.
+template <typename SamplesAt>
+std::vector<RawCapture> site_profile(int sites, SamplesAt samples_at) {
   std::vector<RawCapture> captures;
-  // Several sites, uneven sample sizes, repeated flows across samples so
-  // flow stitching and per-site analyses all have real work to do.
-  for (int site = 0; site < 6; ++site) {
-    for (int sample = 0; sample < 3; ++sample) {
+  for (int site = 0; site < sites; ++site) {
+    for (int sample = 0; sample < samples_at(site); ++sample) {
       std::vector<net::Frame> frames;
       for (int f = 0; f < 40 + site * 7 + sample * 3; ++f) {
         const auto a = static_cast<std::uint8_t>(1 + (f + site) % 5);
@@ -48,6 +50,29 @@ std::vector<RawCapture> multi_site_profile() {
   return captures;
 }
 
+/// Several sites, uneven sample sizes, repeated flows across samples so
+/// flow stitching and per-site analyses all have real work to do.
+std::vector<RawCapture> multi_site_profile() {
+  return site_profile(6, [](int) { return 3; });
+}
+
+/// One hot site holding 18 of the 20 files.
+std::vector<RawCapture> hot_site_profile() {
+  return site_profile(3, [](int site) { return site == 1 ? 18 : 1; });
+}
+
+void expect_sizes_identical(const FrameSizeResult& a, const FrameSizeResult& b,
+                            const std::string& label) {
+  EXPECT_EQ(a.frames, b.frames) << label;
+  ASSERT_EQ(a.histogram.bucket_count(), b.histogram.bucket_count()) << label;
+  for (std::size_t i = 0; i < a.histogram.bucket_count(); ++i) {
+    EXPECT_EQ(a.histogram.bucket(i), b.histogram.bucket(i)) << label << i;
+  }
+  EXPECT_EQ(a.histogram.underflow(), b.histogram.underflow()) << label;
+  EXPECT_EQ(a.histogram.overflow(), b.histogram.overflow()) << label;
+  EXPECT_EQ(a.histogram.total(), b.histogram.total()) << label;
+}
+
 void expect_reports_identical(const ProfileReport& a, const ProfileReport& b,
                               const std::string& label) {
   EXPECT_EQ(a.digest_stats.frames, b.digest_stats.frames) << label;
@@ -58,6 +83,24 @@ void expect_reports_identical(const ProfileReport& a, const ProfileReport& b,
       << label;
   EXPECT_EQ(a.distinct_flows, b.distinct_flows) << label;
   EXPECT_EQ(a.largest_flow_bytes, b.largest_flow_bytes) << label;
+  ASSERT_EQ(a.site_loads.size(), b.site_loads.size()) << label;
+  for (std::size_t i = 0; i < a.site_loads.size(); ++i) {
+    const SiteLoad& x = a.site_loads[i];
+    const SiteLoad& y = b.site_loads[i];
+    EXPECT_EQ(x.site, y.site) << label << i;
+    EXPECT_EQ(x.samples, y.samples) << label << x.site;
+    EXPECT_EQ(x.frames, y.frames) << label << x.site;
+    EXPECT_EQ(x.wire_bytes, y.wire_bytes) << label << x.site;
+    EXPECT_EQ(x.pcap_bytes, y.pcap_bytes) << label << x.site;
+    EXPECT_EQ(x.switch_drops_suspected, y.switch_drops_suspected)
+        << label << x.site;
+  }
+  ASSERT_EQ(a.site_frame_sizes.size(), b.site_frame_sizes.size()) << label;
+  for (const auto& [site, sizes] : a.site_frame_sizes) {
+    ASSERT_TRUE(b.site_frame_sizes.count(site)) << label << ": " << site;
+    expect_sizes_identical(sizes, b.site_frame_sizes.at(site),
+                           label + ": " + site + " ");
+  }
   ASSERT_EQ(a.csv_files.size(), b.csv_files.size()) << label;
   for (const auto& [name, bytes] : a.csv_files) {
     ASSERT_TRUE(b.csv_files.count(name)) << label << ": " << name;
@@ -68,17 +111,29 @@ void expect_reports_identical(const ProfileReport& a, const ProfileReport& b,
 
 TEST(PipelineDeterminism, IdenticalAcrossThreadCounts) {
   ThreadCountGuard guard;
-  const std::vector<RawCapture> profile = multi_site_profile();
+  std::vector<RawCapture> two_files = multi_site_profile();
+  two_files.resize(2);  // Fewer files than the 8-worker case has workers.
+  const std::vector<std::pair<std::string, std::vector<RawCapture>>>
+      profiles = {{"multi_site", multi_site_profile()},
+                  {"hot_site", hot_site_profile()},
+                  {"two_files", two_files},
+                  {"empty", {}}};
 
-  util::set_thread_count(0);  // Serial reference.
-  const ProfileReport reference = run_pipeline(profile);
-  EXPECT_GT(reference.digest_stats.frames, 0u);
+  for (const auto& [name, profile] : profiles) {
+    util::set_thread_count(0);  // Serial reference.
+    const ProfileReport reference = run_pipeline(profile);
+    if (!profile.empty()) {
+      EXPECT_GT(reference.digest_stats.frames, 0u) << name;
+    }
 
-  for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    util::set_thread_count(threads);
-    const ProfileReport parallel = run_pipeline(profile);
-    expect_reports_identical(reference, parallel,
-                             "threads=" + std::to_string(threads));
+    for (std::size_t threads :
+         {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+      util::set_thread_count(threads);
+      const ProfileReport parallel = run_pipeline(profile);
+      expect_reports_identical(
+          reference, parallel,
+          name + " threads=" + std::to_string(threads));
+    }
   }
 }
 

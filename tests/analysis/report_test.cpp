@@ -38,7 +38,8 @@ TEST(Report, FrameSizeCsvHasOneRowPerBucket) {
 TEST(Report, SiteFrameSizeCsvCoversAllSites) {
   const auto files = two_site_files();
   std::ostringstream os;
-  write_site_frame_size_csv(os, files);
+  write_site_frame_size_csv(os, {{"S1", analyze_frame_sizes_site(files, "S1")},
+                                 {"S2", analyze_frame_sizes_site(files, "S2")}});
   EXPECT_NE(os.str().find("S1"), std::string::npos);
   EXPECT_NE(os.str().find("S2"), std::string::npos);
 }

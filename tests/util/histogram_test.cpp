@@ -51,6 +51,28 @@ TEST(Histogram, BoundaryFallsInUpperBucket) {
   EXPECT_EQ(h.bucket(1), 1u);
 }
 
+TEST(Histogram, MergeAddsEveryBucketAndTheTails) {
+  Histogram a({10, 20, 30});
+  Histogram b({10, 20, 30});
+  Histogram both({10, 20, 30});
+  for (double v : {5.0, 12.0, 25.0}) {
+    a.add(v);
+    both.add(v);
+  }
+  for (double v : {15.0, 15.0, 30.0, 99.0}) {
+    b.add(v, 2);
+    both.add(v, 2);
+  }
+  a.merge(b);
+  for (std::size_t i = 0; i < both.bucket_count(); ++i) {
+    EXPECT_EQ(a.bucket(i), both.bucket(i)) << i;
+  }
+  EXPECT_EQ(a.underflow(), 1u);
+  EXPECT_EQ(a.overflow(), 4u);
+  EXPECT_EQ(a.total(), both.total());
+  EXPECT_DOUBLE_EQ(a.fraction(0), both.fraction(0));
+}
+
 TEST(Histogram, PaperFrameSizeBinsLabel) {
   Histogram h({64, 65, 128});
   EXPECT_EQ(h.bucket_label(1), "[65, 128)");
